@@ -22,11 +22,8 @@ pub type SegmentId = u64;
 /// A collection of segments supporting insertion, removal and
 /// earliest-collision queries (the operations of Algorithm 3).
 ///
-/// Stores are `Send + Sync`: the sharded [`crate::engine::StoreEngine`]
-/// fans batched collision probes out across partitions with scoped
-/// threads, which requires shared read access from worker threads. All
-/// stores here are plain owned data structures, so the bound is free.
-pub trait SegmentStore: Send + Sync {
+/// Stores are `Send`, so a planner owning them can move between threads.
+pub trait SegmentStore: Send {
     /// Insert a segment, returning its removal handle.
     fn insert(&mut self, seg: Segment) -> SegmentId;
 

@@ -6,9 +6,10 @@
 //! branchless-ish binary search + increment, and the memory footprint is
 //! constant no matter how many requests flow through. Percentiles are
 //! reported as the upper bound of the bucket where the cumulative count
-//! crosses the rank — a deterministic, slightly pessimistic estimate whose
-//! error is bounded by the bucket ratio (≤ 2.5×), plenty for p50/p95/p99
-//! trend tracking across runs.
+//! crosses the rank, clamped to the largest recorded sample — a
+//! deterministic, slightly pessimistic estimate whose error is bounded by
+//! the bucket ratio (≤ 2.5×), plenty for p50/p95/p99 trend tracking across
+//! runs, and never above the reported max.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
@@ -101,8 +102,9 @@ impl LatencyHistogram {
     }
 
     /// Percentile estimate in microseconds: the upper bound of the bucket
-    /// where the cumulative count reaches `ceil(p · total)`. `p` is clamped
-    /// into (0, 1]; an empty histogram reports 0.
+    /// where the cumulative count reaches `ceil(p · total)`, clamped to the
+    /// largest recorded sample. `p` is clamped into (0, 1]; an empty
+    /// histogram reports 0.
     pub fn percentile_us(&self, p: f64) -> u64 {
         if self.total == 0 {
             return 0;
@@ -115,7 +117,9 @@ impl LatencyHistogram {
         for (i, &c) in self.counts.iter().enumerate() {
             cum += c;
             if cum >= rank {
-                return BOUNDS_US.get(i).copied().unwrap_or(self.max_us);
+                return BOUNDS_US
+                    .get(i)
+                    .map_or(self.max_us, |&b| b.min(self.max_us));
             }
         }
         self.max_us
@@ -198,11 +202,11 @@ pub struct LatencySummary {
     pub count: u64,
     /// Mean in microseconds.
     pub mean_us: f64,
-    /// Median (bucket upper bound), microseconds.
+    /// Median (bucket upper bound, at most `max_us`), microseconds.
     pub p50_us: u64,
-    /// 95th percentile (bucket upper bound), microseconds.
+    /// 95th percentile (bucket upper bound, at most `max_us`), microseconds.
     pub p95_us: u64,
-    /// 99th percentile (bucket upper bound), microseconds.
+    /// 99th percentile (bucket upper bound, at most `max_us`), microseconds.
     pub p99_us: u64,
     /// Largest sample, microseconds.
     pub max_us: u64,
@@ -239,7 +243,7 @@ mod tests {
     #[test]
     fn bimodal_distribution_separates_modes() {
         // 95 fast samples at 8 µs, 5 slow at 40 ms: p50/p95 sit in the fast
-        // mode's bucket, p99 in the slow mode's.
+        // mode's bucket, p99 in the slow mode's (clamped to the max).
         let mut h = LatencyHistogram::new();
         for _ in 0..95 {
             h.record_us(8);
@@ -249,16 +253,39 @@ mod tests {
         }
         assert_eq!(h.percentile_us(0.50), 10);
         assert_eq!(h.percentile_us(0.95), 10);
-        assert_eq!(h.percentile_us(0.99), 50_000);
+        assert_eq!(h.percentile_us(0.99), 40_000);
     }
 
     #[test]
     fn single_sample_all_percentiles_agree() {
+        // The sample's bucket bound is 200 µs; the clamp to the max makes
+        // every percentile the sample itself.
         let mut h = LatencyHistogram::new();
         h.record(Duration::from_micros(137));
         for p in [0.01, 0.5, 0.99, 1.0] {
-            assert_eq!(h.percentile_us(p), 200, "p={p}");
+            assert_eq!(h.percentile_us(p), 137, "p={p}");
         }
+    }
+
+    #[test]
+    fn percentiles_never_exceed_the_max() {
+        // Zero-latency samples fall into the 1 µs bucket; reporting its
+        // bound would put p50 above the observed max of 0.
+        let mut h = LatencyHistogram::new();
+        for _ in 0..10 {
+            h.record_us(0);
+        }
+        assert_eq!(h.max_us(), 0);
+        assert_eq!(h.percentile_us(0.50), 0);
+        let summary = h.summary();
+        assert_eq!((summary.p50_us, summary.p99_us), (0, 0));
+
+        let mut h = LatencyHistogram::new();
+        for us in [3, 4] {
+            h.record_us(us);
+        }
+        assert!(h.percentile_us(0.99) <= 4);
+        assert!(h.percentile_us(0.99) <= h.max_us());
     }
 
     #[test]

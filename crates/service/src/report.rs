@@ -24,7 +24,11 @@ use std::collections::HashMap;
 /// run was served under) and `wire` (the tenant's frame/byte encode-decode
 /// counters), now that all loadgen traffic flows through the wire
 /// protocol.
-pub const BENCH_VERSION: u32 = 3;
+///
+/// v4: `engine` lost `probe_parallelism`, `probe_parallel_share`,
+/// `eval_batches`, `eval_jobs` and `eval_parallel_share` with the
+/// engine's partitions and thread fan-out.
+pub const BENCH_VERSION: u32 = 4;
 
 /// Result of one load run.
 #[derive(Debug, Clone, Serialize, Deserialize)]

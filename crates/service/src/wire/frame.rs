@@ -3,7 +3,7 @@
 //! ```text
 //!  offset  size  field
 //!       0     4  magic  b"CARP"
-//!       4     2  version (LE u16) — currently 1
+//!       4     2  version (LE u16) — currently 2
 //!       6     2  kind    (LE u16) — see FrameKind
 //!       8     4  payload length (LE u32), ≤ MAX_PAYLOAD
 //!      12     …  payload (schema depends on kind)
@@ -17,8 +17,10 @@ use std::io::{Read, Write};
 
 /// The four magic bytes opening every frame.
 pub const MAGIC: [u8; 4] = *b"CARP";
-/// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+/// Protocol version spoken by this build. Version 2 dropped the engine's
+/// partition and thread fan-out counters from the `MetricsReply` engine
+/// block, so a version-1 peer would misread every counter after it.
+pub const VERSION: u16 = 2;
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 12;
 /// Upper bound on a payload (16 MiB) — a route over the largest layout is
@@ -337,12 +339,14 @@ mod tests {
         bad[0] = b'X';
         assert_eq!(read_frame(&mut &bad[..]), Err(WireError::BadMagic));
 
-        let mut bad = buf.clone();
-        bad[4] = 99;
-        assert_eq!(
-            read_frame(&mut &bad[..]),
-            Err(WireError::UnsupportedVersion(99))
-        );
+        for version in [1u16, 99] {
+            let mut bad = buf.clone();
+            bad[4..6].copy_from_slice(&version.to_le_bytes());
+            assert_eq!(
+                read_frame(&mut &bad[..]),
+                Err(WireError::UnsupportedVersion(version))
+            );
+        }
 
         let mut bad = buf.clone();
         bad[6] = 0xAB;

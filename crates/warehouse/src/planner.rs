@@ -84,8 +84,8 @@ impl PlanOutcome {
     }
 }
 
-/// Operation metrics of a planner's collision backend: the sharded segment
-/// store engine (SRP) or the grid-level reservation table (the baselines).
+/// Operation metrics of a planner's collision backend: the segment-store
+/// engine (SRP) or the grid-level reservation table (the baselines).
 /// Defined here (rather than next to the engine) so the simulator can read
 /// them through the object-safe [`Planner`] interface without depending on
 /// the geometry crate's concrete engine type.
@@ -95,24 +95,8 @@ pub struct EngineMetrics {
     pub probe_batches: u64,
     /// Individual collision queries across all probe batches.
     pub probe_queries: u64,
-    /// Mean partition fan-out per probe batch (1.0 = fully serial).
-    pub probe_parallelism: f64,
-    /// Share of probe batches that actually ran on scoped threads (0.0 on
-    /// single-core hosts or below the fan-out threshold — the number that
-    /// tells a perf job whether sharding engaged at all).
-    pub probe_parallel_share: f64,
     /// Mean segments retired per removal batch.
     pub retire_batch_size: f64,
-    /// Batched edge-cost evaluation calls issued by the inter-strip
-    /// search's frontier batching (`eval_many`); zero for planners without
-    /// a batched search.
-    pub eval_batches: u64,
-    /// Individual edge evaluations across all evaluation batches.
-    pub eval_jobs: u64,
-    /// Share of evaluation batches that actually ran on scoped threads —
-    /// the number that tells a perf job whether search parallelism engaged
-    /// at all.
-    pub eval_parallel_share: f64,
     /// Cumulative soft-layer (beyond-window) reservation bookings. Zero for
     /// planners that pre-check every commit against the full table; positive
     /// under TWP's optimistic beyond-window commits, which book their
@@ -199,7 +183,7 @@ pub trait Planner {
         false
     }
 
-    /// Operation metrics of the planner's sharded store engine. `None` (the
+    /// Operation metrics of the planner's segment-store engine. `None` (the
     /// default) for planners without one; SRP reports the probe/retirement
     /// counters of its `carp_geometry::engine::StoreEngine`, which the
     /// simulator folds into the day report.
