@@ -17,7 +17,7 @@
 use carp_bench::{format_series, run_scenario, summary_line, PlannerKind, Scenario};
 use carp_simenv::{DayReport, SimConfig, Simulation};
 use carp_spacetime::{AStarConfig, ReservationTable, SpaceTimeAStar};
-use carp_srp::{SrpConfig, SrpPlanner, StripGraph};
+use carp_srp::{SrpConfig, SrpPlanner, SrpStats, StripGraph};
 use carp_warehouse::layout::{LayoutConfig, WarehousePreset};
 use carp_warehouse::tasks::generate_requests;
 use carp_warehouse::{Planner, QueryKind, Request};
@@ -443,6 +443,7 @@ fn fig22(opts: Opts) {
                 100.0 * v as f64 / 1e9 / total_naive
             );
         }
+        println!("    {}", search_paths(&ns));
 
         // (b) with the slope index.
         let indexed = SrpPlanner::new(layout.matrix.clone(), cfg);
@@ -464,8 +465,23 @@ fn fig22(opts: Opts) {
             "    intra-strip reduction: {:.1}%  (paper reports ≈50%)",
             100.0 * (1.0 - is.intra_ns as f64 / ns.intra_ns.max(1) as f64)
         );
+        println!("    slope index {}", search_paths(&is));
         println!();
     }
+}
+
+/// How SRP's searches ended: retries and fallbacks that produced a route,
+/// and the failing strip searches the exact early exit cut short, per rule.
+fn search_paths(s: &SrpStats) -> String {
+    let cut = s.searches_cut_short;
+    format!(
+        "searches: {} retries, {} fallbacks, {} cut short ({} final leg, {} unreachable)",
+        s.retries,
+        s.fallbacks,
+        cut.total(),
+        cut.final_leg,
+        cut.unreachable
+    )
 }
 
 /// Extra experiment X1: planning-time growth with warehouse area — the
@@ -615,27 +631,29 @@ fn ablation(opts: Opts) {
     };
     let tasks = sc.tasks(&layout);
     println!(
-        "{:<22} {:>9} {:>8} {:>10} {:>9} {:>9}",
-        "variant", "TC(s)", "OG", "MC(KiB)", "retries", "fallbacks"
+        "{:<22} {:>9} {:>8} {:>10} {:>9} {:>9} {:>15}",
+        "variant", "TC(s)", "OG", "MC(KiB)", "retries", "fallbacks", "cut (leg/walk)"
     );
     let run_variant = |label: &str, cfg: SrpConfig, naive: bool| {
-        let (report, retries, fallbacks) = if naive {
+        let (report, stats) = if naive {
             let p = SrpPlanner::<carp_geometry::NaiveStore>::with_store(layout.matrix.clone(), cfg);
             let (r, p) = Simulation::new(&layout, &tasks, p, SimConfig::default()).run();
-            (r, p.stats.retries, p.stats.fallbacks)
+            (r, p.stats)
         } else {
             let p = SrpPlanner::new(layout.matrix.clone(), cfg);
             let (r, p) = Simulation::new(&layout, &tasks, p, SimConfig::default()).run();
-            (r, p.stats.retries, p.stats.fallbacks)
+            (r, p.stats)
         };
+        let cut = stats.searches_cut_short;
         println!(
-            "{:<22} {:>9.3} {:>8} {:>10.1} {:>9} {:>9}",
+            "{:<22} {:>9.3} {:>8} {:>10.1} {:>9} {:>9} {:>15}",
             label,
             report.planning_secs,
             report.makespan,
             report.peak_memory_bytes as f64 / 1024.0,
-            retries,
-            fallbacks
+            stats.retries,
+            stats.fallbacks,
+            format!("{}/{}", cut.final_leg, cut.unreachable)
         );
         assert_eq!(report.audit_conflicts, 0, "{label}: audit failed");
     };

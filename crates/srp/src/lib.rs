@@ -42,5 +42,5 @@ pub mod planner;
 pub mod strip_graph;
 
 pub use intra::{IntraConfig, IntraRoute};
-pub use planner::{PlannerPath, Provenance, SrpConfig, SrpPlanner, SrpStats};
+pub use planner::{CutShort, PlannerPath, Provenance, SrpConfig, SrpPlanner, SrpStats};
 pub use strip_graph::{EdgeGeom, Strip, StripDir, StripEdge, StripGraph, StripId, StripKind};

@@ -109,6 +109,25 @@ pub struct SrpStats {
     pub convert_ns: u64,
     /// High-water bytes of the fallback A\* search (part of MC).
     pub fallback_peak_bytes: usize,
+    /// Strip searches stopped early, proven unable to reach the goal.
+    pub searches_cut_short: CutShort,
+}
+
+/// Strip searches stopped by the exact early exit (DESIGN.md §6), per rule.
+/// Each would have failed anyway; the exit only skips the remaining pops.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CutShort {
+    /// Rule 1: the destination aisle settled and its final leg failed.
+    pub final_leg: usize,
+    /// Rule 2: no strip that could still lead to the destination was open.
+    pub unreachable: usize,
+}
+
+impl CutShort {
+    /// Searches cut short by either rule.
+    pub fn total(&self) -> usize {
+        self.final_leg + self.unreachable
+    }
 }
 
 /// Which internal search path produced a committed route. Recorded per
@@ -186,14 +205,13 @@ const GOAL: StripId = StripId::MAX;
 
 /// A parent-chain entry of the cost-only inter-strip search: the hop's leg
 /// lives within strip `prev`, ends at `exit_cell`, waits there until
-/// `depart`, and (when `crossed`) steps into the keyed node at `depart+1`.
+/// `depart`, and then steps into the keyed node at `depart+1` (unless the
+/// keyed node is the goal of an aisle destination, reached in place).
 #[derive(Debug, Clone, Copy)]
 struct ParentLite {
     prev: StripId,
     exit_cell: Cell,
     depart: Time,
-    #[allow(dead_code)] // kept for debugging/assertions
-    crossed: bool,
 }
 
 impl ParentLite {
@@ -201,7 +219,6 @@ impl ParentLite {
         prev: GOAL,
         exit_cell: Cell::new(0, 0),
         depart: 0,
-        crossed: false,
     };
 }
 
@@ -217,22 +234,50 @@ type SearchKey = (Time, core::cmp::Reverse<Time>, StripId, u32);
 /// Sentinel edge index marking a node (settle) entry.
 const NO_EDGE: u32 = u32::MAX;
 
-/// Request-fixed context for resolving strip edges during one search.
+/// Request-fixed context of one Phase-1 search.
 #[derive(Clone, Copy)]
-struct ResolveCtx {
+struct SearchCtx {
     su: StripId,
     su_kind: StripKind,
     sd: StripId,
     sd_is_rack: bool,
     o: Cell,
     d: Cell,
+    use_h: bool,
+    /// Dense index of the GOAL pseudo-node.
+    goal_slot: usize,
+}
+
+impl SearchCtx {
+    /// The inter-strip heuristic: Manhattan distance to the destination
+    /// (admissible and consistent), or 0 for plain Dijkstra.
+    #[inline]
+    fn h(&self, cell: Cell) -> Time {
+        if self.use_h {
+            cell.manhattan(self.d)
+        } else {
+            0
+        }
+    }
+}
+
+/// How the Phase-1 loop ended.
+#[derive(Debug, Clone, Copy)]
+enum SearchEnd {
+    /// The goal entry popped or the heap ran dry; the goal label, if any,
+    /// is final.
+    Done,
+    /// The armed cancellation token fired.
+    Cancelled,
+    /// An exact early exit proved that no future settle reaches the goal.
+    CutShort,
 }
 
 /// Resolve one edge's transit pair under all the rack rules; `None` when
 /// the edge is unusable for this request. Pure in `(graph, ctx, u, k, gu)`.
 fn resolve_edge(
     graph: &StripGraph,
-    ctx: &ResolveCtx,
+    ctx: &SearchCtx,
     u: StripId,
     k: usize,
     gu: Cell,
@@ -286,44 +331,101 @@ fn cross_scan<S: SegmentStore>(
     None
 }
 
+/// Flag bits of a strip's state word in [`SearchScratch`].
+const RELAXED: u32 = 1;
+const SETTLED: u32 = 2;
+/// Bits 2..8 of the state word: the number of the reachability walk (in
+/// this search) that last entered the strip.
+const WALK_SHIFT: u32 = 2;
+const WALK_MASK: u32 = 0x3f << WALK_SHIFT;
+/// The search generation sits above the flags and the walk mark.
+const GEN_SHIFT: u32 = 8;
+/// Next-edge cursor of a walked strip whose neighbours are not scanned yet.
+const UNSCANNED: Time = Time::MAX;
+
 /// Reusable per-request search state, generation-stamped so consecutive
 /// plans never re-clear the dense arrays.
 #[derive(Debug, Default, Clone)]
 struct SearchScratch {
+    /// Current search generation, below `2^(32 - GEN_SHIFT)`.
     gen: u32,
-    stamp: Vec<u32>,
-    settled_stamp: Vec<u32>,
+    /// Reachability walks run in the current search.
+    walks: u32,
+    /// Per-strip state word `gen << GEN_SHIFT | walk mark | flags`. A word
+    /// from an older generation reads as untouched: no label, no flags,
+    /// nothing pending.
+    state: Vec<u32>,
+    /// Deferred edges in the heap that target each strip (valid while the
+    /// strip's state word is current).
+    pending: Vec<u32>,
     dist_v: Vec<Time>,
     entry: Vec<Cell>,
     parent: Vec<ParentLite>,
+    /// Reachability walk: the path from `sd` to the strip being scanned.
+    /// A walked strip is unlabelled, so its `dist_v` slot holds the index
+    /// of its next edge to try. After a walk that met an open strip this is
+    /// the path to that strip's neighbour, which the next walk re-checks
+    /// first.
+    walk: Vec<StripId>,
+    /// The open strip next to the end of `walk`'s path.
+    witness: StripId,
 }
 
 impl SearchScratch {
     fn begin(&mut self, n: usize) {
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-            self.settled_stamp.resize(n, 0);
+        if self.state.len() < n {
+            self.state.resize(n, 0);
+            self.pending.resize(n, 0);
             self.dist_v.resize(n, 0);
             self.entry.resize(n, Cell::new(0, 0));
             self.parent.resize(n, ParentLite::NONE);
+            // A walk path holds each strip at most once.
+            self.walk.reserve_exact(n - self.walk.len());
         }
-        self.gen = self.gen.wrapping_add(1);
-        if self.gen == 0 {
-            // Extremely rare wrap: hard-reset the stamps.
-            self.stamp.fill(0);
-            self.settled_stamp.fill(0);
+        self.gen += 1;
+        if self.gen == 1 << (32 - GEN_SHIFT) {
+            // Extremely rare wrap: hard-reset the state words.
+            self.state.fill(0);
             self.gen = 1;
         }
+        self.walks = 0;
+        self.walk.clear();
+    }
+
+    /// Whether strip `i`'s state word belongs to the current search.
+    #[inline]
+    fn current(&self, i: usize) -> bool {
+        self.state[i] >> GEN_SHIFT == self.gen
+    }
+
+    /// The strip's flags in this search (0 when untouched).
+    #[inline]
+    fn flags(&self, i: usize) -> u32 {
+        if self.current(i) {
+            self.state[i] & (RELAXED | SETTLED)
+        } else {
+            0
+        }
+    }
+
+    /// The strip's state word, reset first when it is from an older search.
+    #[inline]
+    fn touch(&mut self, i: usize) -> &mut u32 {
+        if !self.current(i) {
+            self.state[i] = self.gen << GEN_SHIFT;
+            self.pending[i] = 0;
+        }
+        &mut self.state[i]
     }
 
     #[inline]
     fn dist(&self, i: usize) -> Option<Time> {
-        (self.stamp[i] == self.gen).then(|| self.dist_v[i])
+        (self.flags(i) & RELAXED != 0).then(|| self.dist_v[i])
     }
 
     #[inline]
     fn relax(&mut self, i: usize, t: Time, entry: Cell, p: ParentLite) {
-        self.stamp[i] = self.gen;
+        *self.touch(i) |= RELAXED;
         self.dist_v[i] = t;
         self.entry[i] = entry;
         self.parent[i] = p;
@@ -331,20 +433,150 @@ impl SearchScratch {
 
     #[inline]
     fn settled(&self, i: usize) -> bool {
-        self.settled_stamp[i] == self.gen
+        self.flags(i) & SETTLED != 0
     }
 
     #[inline]
     fn settle(&mut self, i: usize) {
-        self.settled_stamp[i] = self.gen;
+        *self.touch(i) |= SETTLED;
+    }
+
+    /// A deferred edge into strip `i` was pushed.
+    #[inline]
+    fn push_pending(&mut self, i: usize) {
+        self.touch(i);
+        self.pending[i] += 1;
+    }
+
+    /// A deferred edge into strip `i` was popped.
+    #[inline]
+    fn pop_pending(&mut self, i: usize) {
+        debug_assert!(self.current(i) && self.pending[i] > 0);
+        self.pending[i] -= 1;
+    }
+
+    /// Whether a future pop can still settle or relax strip `i`: it is
+    /// unsettled and holds a label, or a deferred edge into it is unpopped.
+    #[inline]
+    fn open(&self, i: usize) -> bool {
+        let w = self.state[i];
+        self.current(i) && w & SETTLED == 0 && (w & RELAXED != 0 || self.pending[i] > 0)
+    }
+
+    /// Whether walk `mark` may still step onto strip `y`: a route may enter
+    /// it (racks are excluded; a rack `sd` is marked before the walk
+    /// starts), it is unsettled, and the walk has not been there.
+    #[inline]
+    fn walkable(&self, graph: &StripGraph, y: StripId, mark: u32) -> bool {
+        let (i, w) = (y as usize, self.state[y as usize]);
+        let done = self.current(i) && (w & SETTLED != 0 || w & WALK_MASK == mark);
+        !done && graph.strip(y).kind != StripKind::Rack
+    }
+
+    /// Walk `mark` steps onto strip `y`: mark it and push it, neighbours
+    /// not scanned yet.
+    fn enter(&mut self, stack: &mut Vec<StripId>, y: StripId, mark: u32) {
+        let w = self.touch(y as usize);
+        *w = (*w & !WALK_MASK) | mark;
+        self.dist_v[y as usize] = UNSCANNED;
+        stack.push(y);
+    }
+
+    /// Whether the path the previous walk of this search found still
+    /// proves the goal reachable: its strips are unsettled up to one that
+    /// is open now, or all unsettled with the witness still open.
+    fn path_holds(&self) -> bool {
+        if self.walk.is_empty() {
+            return false;
+        }
+        for &x in &self.walk {
+            if self.settled(x as usize) {
+                return false;
+            }
+            if self.open(x as usize) {
+                return true;
+            }
+        }
+        self.open(self.witness as usize)
+    }
+
+    /// Rule 2 of the exact early exit (DESIGN.md §6): walk from the goal
+    /// strip `sd` over unsettled strips a route may enter (aisles, plus
+    /// `sd` itself) and report whether any of them is [`Self::open`]. When
+    /// none is, no future settle can reach `sd`: every settle still to come
+    /// needs a chain of unsettled enterable strips back to an open one, and
+    /// the adjacency is symmetric, so that chain is a walk from `sd`.
+    ///
+    /// The walk is depth-first. On reaching a strip it checks every
+    /// neighbour for an open one, then steps to the neighbour nearest the
+    /// origin `o`; the others are tried only on the way back. In a search
+    /// that will succeed, the open strips ring the settled region around
+    /// the origin, so the walk meets one after a few steps, and the path it
+    /// leaves behind usually answers the next walk of the search by itself.
+    /// The order never changes the verdict.
+    fn goal_reachable(&mut self, graph: &StripGraph, sd: StripId, o: Cell) -> bool {
+        if self.open(sd as usize) || self.path_holds() {
+            return true;
+        }
+        self.walks += 1;
+        debug_assert!(self.walks <= WALK_MASK >> WALK_SHIFT, "walks are log(pops)");
+        let mark = self.walks << WALK_SHIFT;
+        let mut stack = core::mem::take(&mut self.walk);
+        stack.clear();
+        self.enter(&mut stack, sd, mark);
+        let mut found = false;
+        while let Some(&x) = stack.last() {
+            let (edges, next) = (graph.edges(x), self.dist_v[x as usize]);
+            if next == UNSCANNED {
+                let mut nearest: Option<(u32, StripId)> = None;
+                for e in edges {
+                    if !self.walkable(graph, e.to, mark) {
+                        continue;
+                    }
+                    if self.open(e.to as usize) {
+                        self.witness = e.to;
+                        found = true;
+                        break;
+                    }
+                    let dist = graph.strip(e.to).distance_to(o);
+                    if nearest.is_none_or(|(best, _)| dist < best) {
+                        nearest = Some((dist, e.to));
+                    }
+                }
+                if found {
+                    break;
+                }
+                self.dist_v[x as usize] = 0;
+                if let Some((_, y)) = nearest {
+                    self.enter(&mut stack, y, mark);
+                }
+                continue;
+            }
+            // On the way back: step to the next neighbour not walked yet.
+            let rest = edges[next as usize..]
+                .iter()
+                .position(|e| self.walkable(graph, e.to, mark));
+            match rest {
+                Some(k) => {
+                    self.dist_v[x as usize] = next + k as u32 + 1;
+                    self.enter(&mut stack, edges[next as usize + k].to, mark);
+                }
+                None => {
+                    stack.pop();
+                }
+            }
+        }
+        self.walk = stack;
+        found
     }
 
     fn memory_bytes(&self) -> usize {
-        carp_warehouse::memory::vec_bytes(&self.stamp)
-            + carp_warehouse::memory::vec_bytes(&self.settled_stamp)
+        carp_warehouse::memory::vec_bytes(&self.state)
+            + carp_warehouse::memory::vec_bytes(&self.pending)
             + carp_warehouse::memory::vec_bytes(&self.dist_v)
             + carp_warehouse::memory::vec_bytes(&self.entry)
             + carp_warehouse::memory::vec_bytes(&self.parent)
+            + carp_warehouse::memory::vec_bytes(&self.walk)
     }
 }
 
@@ -539,174 +771,46 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         }
 
         // Phase 1: cost-only time-dependent Dijkstra / A* (Algorithm 4).
-        let use_h = self.config.use_heuristic;
-        let h = move |cell: Cell| -> Time {
-            if use_h {
-                cell.manhattan(d)
-            } else {
-                0
-            }
-        };
         let n = self.graph.num_vertices();
-        let goal_slot = n; // dense index of the GOAL pseudo-node
+        let ctx = SearchCtx {
+            su,
+            su_kind,
+            sd,
+            sd_is_rack: self.graph.strip(sd).kind == StripKind::Rack,
+            o,
+            d,
+            use_h: self.config.use_heuristic,
+            goal_slot: n,
+        };
+        let goal_slot = ctx.goal_slot;
         self.scratch.begin(n + 1);
         // Min-heap on (f, Reverse(g)): among equal f the deepest entry wins,
         // so the search dives along one optimal staircase instead of
         // flooding the whole equal-cost plateau between origin and
         // destination (consistent heuristic ⇒ optimality is unaffected).
-        //
-        // Edges are evaluated LAZILY: settling a strip pushes one cheap
-        // optimistic entry per edge (`edge_k != NO_EDGE`), carrying the
-        // admissible bound `at + |gu → transit| + 1`; the expensive
-        // intra-strip + crossing evaluation runs only when that bound
-        // reaches the top of the heap. Long full-width aisles have O(W)
-        // edges, so eager evaluation would dominate the whole search.
         let mut heap: BinaryHeap<core::cmp::Reverse<SearchKey>> = BinaryHeap::new();
         self.scratch
             .relax(su as usize, start_t, o, ParentLite::NONE);
         heap.push(core::cmp::Reverse((
-            start_t + h(o),
+            start_t + ctx.h(o),
             core::cmp::Reverse(start_t),
             su,
             NO_EDGE,
         )));
-        let sd_is_rack = self.graph.strip(sd).kind == StripKind::Rack;
-        let ctx = ResolveCtx {
-            su,
-            su_kind,
-            sd,
-            sd_is_rack,
-            o,
-            d,
-        };
         // Honour a token that fired before the search even started (the
-        // periodic poll below only triggers every 64 pops, which a short
-        // search never reaches).
+        // periodic poll in the loop only triggers every 64 pops, which a
+        // short search never reaches).
         if self.cancelled() {
             return None;
         }
         let mut pops: u64 = 0;
-        while let Some(core::cmp::Reverse((_, core::cmp::Reverse(at), u, edge_k))) = heap.pop() {
-            if u == GOAL {
-                break;
-            }
-            // Cooperative cancellation: poll the armed token every 64 pops
-            // (an atomic load + occasional `Instant::now`, far below the
-            // cost of one edge evaluation). Bailing out mid-search commits
-            // nothing — the caller sees a plain `None`.
-            pops += 1;
-            if pops & 63 == 0 && self.cancelled() {
+        match self.search(&mut heap, &ctx, &mut pops, true) {
+            SearchEnd::Done => {}
+            SearchEnd::Cancelled => return None,
+            SearchEnd::CutShort => {
+                #[cfg(debug_assertions)]
+                self.confirm_cut_short(&mut heap, &ctx, &mut pops);
                 return None;
-            }
-            let ui = u as usize;
-
-            if edge_k != NO_EDGE {
-                // Deferred edge evaluation: `at` is the optimistic arrival.
-                let gu = self.scratch.entry[ui];
-                let settle_at = self.scratch.dist(ui).expect("edge source settled");
-                let Some((v, v_is_goal_rack, g_u, g_v)) =
-                    resolve_edge(&self.graph, &ctx, u, edge_k as usize, gu)
-                else {
-                    continue;
-                };
-                let vi = if v_is_goal_rack {
-                    goal_slot
-                } else {
-                    v as usize
-                };
-                if self.scratch.settled(vi) || self.scratch.dist(vi).is_some_and(|dv| dv <= at) {
-                    continue;
-                }
-                let Some(arrival) = self.eval_edge(u, settle_at, gu, g_u, g_v) else {
-                    continue;
-                };
-                let depart = arrival - 1;
-                if self.scratch.dist(vi).is_none_or(|dv| arrival < dv) {
-                    let parent = ParentLite {
-                        prev: u,
-                        exit_cell: g_u,
-                        depart,
-                        crossed: true,
-                    };
-                    self.scratch
-                        .relax(vi, arrival, if v_is_goal_rack { d } else { g_v }, parent);
-                    let key = if v_is_goal_rack {
-                        arrival
-                    } else {
-                        arrival + h(g_v)
-                    };
-                    let node = if v_is_goal_rack { GOAL } else { v };
-                    heap.push(core::cmp::Reverse((
-                        key,
-                        core::cmp::Reverse(arrival),
-                        node,
-                        NO_EDGE,
-                    )));
-                }
-                continue;
-            }
-
-            if self.scratch.settled(ui) || self.scratch.dist(ui) != Some(at) {
-                continue;
-            }
-            self.scratch.settle(ui);
-            self.stats.strips_settled += 1;
-            let gu = self.scratch.entry[ui];
-
-            // Final leg when the destination strip is an aisle.
-            if u == sd {
-                let strip = *self.graph.strip(u);
-                if let Some(total) = self.intra_cost(u, at, strip.offset_of(gu), strip.offset_of(d))
-                {
-                    if self.scratch.dist(goal_slot).is_none_or(|g| total < g) {
-                        self.scratch.relax(
-                            goal_slot,
-                            total,
-                            d,
-                            ParentLite {
-                                prev: u,
-                                exit_cell: d,
-                                depart: total,
-                                crossed: false,
-                            },
-                        );
-                        heap.push(core::cmp::Reverse((
-                            total,
-                            core::cmp::Reverse(total),
-                            GOAL,
-                            NO_EDGE,
-                        )));
-                    }
-                }
-                continue; // never expand beyond the destination strip
-            }
-
-            let strip_u = *self.graph.strip(u);
-            for k in 0..self.graph.edges(u).len() {
-                let Some((v, v_is_goal_rack, g_u, g_v)) = resolve_edge(&self.graph, &ctx, u, k, gu)
-                else {
-                    continue;
-                };
-                let vi = if v_is_goal_rack {
-                    goal_slot
-                } else {
-                    v as usize
-                };
-                if self.scratch.settled(vi) {
-                    continue;
-                }
-                // Admissible bound: straight-line leg + one crossing step.
-                let lb = at + strip_u.offset_of(gu).abs_diff(strip_u.offset_of(g_u)) + 1;
-                if self.scratch.dist(vi).is_some_and(|dv| dv <= lb) {
-                    continue;
-                }
-                let key = if v_is_goal_rack { lb } else { lb + h(g_v) };
-                heap.push(core::cmp::Reverse((
-                    key,
-                    core::cmp::Reverse(lb),
-                    u,
-                    k as u32,
-                )));
             }
         }
 
@@ -751,7 +855,7 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
             }
             legs.push((u, leg));
         }
-        if sd_is_rack {
+        if ctx.sd_is_rack {
             // The rack destination is entered by the final crossing; it
             // contributes a single point of occupancy.
             legs.push((
@@ -770,6 +874,197 @@ impl<S: SegmentStore + Default> SrpPlanner<S> {
         debug_assert_eq!(route.destination(), d);
         debug_assert_eq!(route.end_time(), total);
         Some(route)
+    }
+
+    /// The Phase-1 loop: pop entries until the goal entry pops, the heap
+    /// runs dry or the armed token fires. With `exits`, it also stops as
+    /// soon as one of two exact rules proves that no future settle can
+    /// reach the goal (DESIGN.md §6); neither rule ever changes a route.
+    ///
+    /// Edges are evaluated LAZILY: settling a strip pushes one cheap
+    /// optimistic entry per edge (`edge_k != NO_EDGE`), carrying the
+    /// admissible bound `at + |gu → transit| + 1`; the expensive
+    /// intra-strip + crossing evaluation runs only when that bound reaches
+    /// the top of the heap. Long full-width aisles have O(W) edges, so
+    /// eager evaluation would dominate the whole search.
+    fn search(
+        &mut self,
+        heap: &mut BinaryHeap<core::cmp::Reverse<SearchKey>>,
+        ctx: &SearchCtx,
+        pops: &mut u64,
+        exits: bool,
+    ) -> SearchEnd {
+        let (sd, d, goal_slot) = (ctx.sd, ctx.d, ctx.goal_slot);
+        loop {
+            // Rule 2, at a pop boundary where every heap entry is counted
+            // in the scratch state: is any strip that can still lead to
+            // `sd` open? The walk runs at pop counts 64, 128, 256, … so a
+            // search pays for O(log pops) walks.
+            if exits
+                && *pops >= 64
+                && pops.is_power_of_two()
+                && self.scratch.dist(goal_slot).is_none()
+                && !self.scratch.goal_reachable(&self.graph, sd, ctx.o)
+            {
+                self.stats.searches_cut_short.unreachable += 1;
+                return SearchEnd::CutShort;
+            }
+            let Some(core::cmp::Reverse((_, core::cmp::Reverse(at), u, edge_k))) = heap.pop()
+            else {
+                return SearchEnd::Done;
+            };
+            if u == GOAL {
+                return SearchEnd::Done;
+            }
+            // Cooperative cancellation: poll the armed token every 64 pops
+            // (an atomic load + occasional `Instant::now`, far below the
+            // cost of one edge evaluation). Bailing out mid-search commits
+            // nothing — the caller sees a plain `None`.
+            *pops += 1;
+            if *pops & 63 == 0 && self.cancelled() {
+                return SearchEnd::Cancelled;
+            }
+            let ui = u as usize;
+
+            if edge_k != NO_EDGE {
+                // Deferred edge evaluation: `at` is the optimistic arrival.
+                self.scratch
+                    .pop_pending(self.graph.edges(u)[edge_k as usize].to as usize);
+                let gu = self.scratch.entry[ui];
+                let settle_at = self.scratch.dist(ui).expect("edge source settled");
+                let Some((v, v_is_goal_rack, g_u, g_v)) =
+                    resolve_edge(&self.graph, ctx, u, edge_k as usize, gu)
+                else {
+                    continue;
+                };
+                let vi = if v_is_goal_rack {
+                    goal_slot
+                } else {
+                    v as usize
+                };
+                if self.scratch.settled(vi) || self.scratch.dist(vi).is_some_and(|dv| dv <= at) {
+                    continue;
+                }
+                let Some(arrival) = self.eval_edge(u, settle_at, gu, g_u, g_v) else {
+                    continue;
+                };
+                let depart = arrival - 1;
+                if self.scratch.dist(vi).is_none_or(|dv| arrival < dv) {
+                    let parent = ParentLite {
+                        prev: u,
+                        exit_cell: g_u,
+                        depart,
+                    };
+                    self.scratch
+                        .relax(vi, arrival, if v_is_goal_rack { d } else { g_v }, parent);
+                    let key = if v_is_goal_rack {
+                        arrival
+                    } else {
+                        arrival + ctx.h(g_v)
+                    };
+                    let node = if v_is_goal_rack { GOAL } else { v };
+                    heap.push(core::cmp::Reverse((
+                        key,
+                        core::cmp::Reverse(arrival),
+                        node,
+                        NO_EDGE,
+                    )));
+                }
+                continue;
+            }
+
+            if self.scratch.settled(ui) || self.scratch.dist(ui) != Some(at) {
+                continue;
+            }
+            self.scratch.settle(ui);
+            self.stats.strips_settled += 1;
+            let gu = self.scratch.entry[ui];
+
+            // Final leg when the destination strip is an aisle.
+            if u == sd {
+                let strip = *self.graph.strip(u);
+                let Some(total) = self.intra_cost(u, at, strip.offset_of(gu), strip.offset_of(d))
+                else {
+                    // Rule 1: an aisle `sd` settles exactly once, and this
+                    // branch is the only one that labels the goal.
+                    if exits {
+                        self.stats.searches_cut_short.final_leg += 1;
+                        return SearchEnd::CutShort;
+                    }
+                    continue;
+                };
+                if self.scratch.dist(goal_slot).is_none_or(|g| total < g) {
+                    self.scratch.relax(
+                        goal_slot,
+                        total,
+                        d,
+                        ParentLite {
+                            prev: u,
+                            exit_cell: d,
+                            depart: total,
+                        },
+                    );
+                    heap.push(core::cmp::Reverse((
+                        total,
+                        core::cmp::Reverse(total),
+                        GOAL,
+                        NO_EDGE,
+                    )));
+                }
+                continue; // never expand beyond the destination strip
+            }
+
+            let strip_u = *self.graph.strip(u);
+            for k in 0..self.graph.edges(u).len() {
+                let Some((v, v_is_goal_rack, g_u, g_v)) = resolve_edge(&self.graph, ctx, u, k, gu)
+                else {
+                    continue;
+                };
+                let vi = if v_is_goal_rack {
+                    goal_slot
+                } else {
+                    v as usize
+                };
+                if self.scratch.settled(vi) {
+                    continue;
+                }
+                // Admissible bound: straight-line leg + one crossing step.
+                let lb = at + strip_u.offset_of(gu).abs_diff(strip_u.offset_of(g_u)) + 1;
+                if self.scratch.dist(vi).is_some_and(|dv| dv <= lb) {
+                    continue;
+                }
+                let key = if v_is_goal_rack { lb } else { lb + ctx.h(g_v) };
+                heap.push(core::cmp::Reverse((
+                    key,
+                    core::cmp::Reverse(lb),
+                    u,
+                    k as u32,
+                )));
+                self.scratch.push_pending(v as usize);
+            }
+        }
+    }
+
+    /// Debug builds confirm every early exit: finish the cut search without
+    /// exits (and with the cancellation token disarmed) and check that the
+    /// goal is never labelled. The counters are restored afterwards, so they
+    /// mean the same in debug and release.
+    #[cfg(debug_assertions)]
+    fn confirm_cut_short(
+        &mut self,
+        heap: &mut BinaryHeap<core::cmp::Reverse<SearchKey>>,
+        ctx: &SearchCtx,
+        pops: &mut u64,
+    ) {
+        let stats = self.stats;
+        let cancel = self.config.cancel.take();
+        self.search(heap, ctx, pops, false);
+        debug_assert!(
+            self.scratch.dist(ctx.goal_slot).is_none(),
+            "early exit on a search that reaches the goal"
+        );
+        self.config.cancel = cancel;
+        self.stats = stats;
     }
 
     /// Instrumented cost-only intra-strip query (search phase).

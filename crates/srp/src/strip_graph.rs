@@ -66,6 +66,12 @@ impl Strip {
         false
     }
 
+    /// Manhattan distance from `c` to the strip's nearest grid.
+    pub fn distance_to(&self, c: Cell) -> u32 {
+        let gap = |x: u16, lo: u16, hi: u16| (lo.saturating_sub(x) + x.saturating_sub(hi)) as u32;
+        gap(c.row, self.alpha.row, self.beta.row) + gap(c.col, self.alpha.col, self.beta.col)
+    }
+
     /// Whether `c` lies within the strip.
     pub fn contains(&self, c: Cell) -> bool {
         match self.dir {

@@ -316,3 +316,81 @@ fn instrumented_breakdown_adds_up() {
     assert!(s.inter_ns > 0, "inter bucket empty");
     assert!(s.intra_calls > 0);
 }
+
+/// `bands` blocks of `depth` rows of alternating aisle and rack columns,
+/// each block under a full-free row. The last block has no free row below
+/// it, so its aisle columns are dead ends entered only from above.
+fn bays(bands: usize, depth: usize, cols: usize) -> WarehouseMatrix {
+    let bay_row: String = (0..cols)
+        .map(|j| if j % 2 == 0 { '.' } else { '#' })
+        .collect();
+    let mut rows = Vec::new();
+    for _ in 0..bands {
+        rows.push(".".repeat(cols));
+        rows.extend(std::iter::repeat_n(bay_row.clone(), depth));
+    }
+    WarehouseMatrix::from_ascii(&rows.join("\n"))
+}
+
+/// A robot parked on `cell` for the whole planning horizon.
+fn parked(cell: Cell) -> Route {
+    Route::new(0, vec![cell; 2000])
+}
+
+#[test]
+fn blocked_final_leg_in_an_aisle_fails_fast() {
+    // The destination sits at the bottom of a dead-end aisle. An oncoming
+    // robot holds the aisle between its only entry and the destination
+    // for the whole horizon, so the final leg fails on every departure the
+    // planner tries. The search stops the moment the destination aisle
+    // settles instead of exhausting the rest of the warehouse.
+    let m = bays(6, 5, 81);
+    let bottom = m.rows() - 1;
+    let mut srp = SrpPlanner::new(m, SrpConfig::default());
+    srp.commit_route(100, &parked(Cell::new(bottom - 2, 40)));
+    let req = Request::new(
+        0,
+        0,
+        Cell::new(0, 0),
+        Cell::new(bottom, 40),
+        QueryKind::Pickup,
+    );
+    assert!(srp.plan_uncommitted(&req).is_none());
+    let settled = srp.stats.strips_settled;
+    let strips = srp.graph().num_vertices();
+    assert!(
+        settled * 3 < strips,
+        "{settled} strips settled over four searches of a {strips}-strip graph"
+    );
+    assert_eq!(srp.stats.searches_cut_short.final_leg, 4);
+}
+
+#[test]
+fn sealed_rack_destination_fails_fast() {
+    // The destination rack cell is reachable only laterally from the two
+    // dead-end aisles beside its rack column, and robots parked at both
+    // aisle entries seal them for the whole horizon. Once the edges into
+    // them have failed, no unsettled strip that could still lead to the
+    // rack is open, and the search stops.
+    let m = bays(6, 5, 81);
+    let bottom = m.rows() - 1;
+    let entry_row = bottom - 4;
+    let mut srp = SrpPlanner::new(m, SrpConfig::default());
+    srp.commit_route(100, &parked(Cell::new(entry_row, 40)));
+    srp.commit_route(101, &parked(Cell::new(entry_row, 42)));
+    let req = Request::new(
+        0,
+        0,
+        Cell::new(0, 0),
+        Cell::new(bottom - 1, 41),
+        QueryKind::Pickup,
+    );
+    assert!(srp.plan_uncommitted(&req).is_none());
+    let settled = srp.stats.strips_settled;
+    let strips = srp.graph().num_vertices();
+    assert!(
+        settled * 3 < strips,
+        "{settled} strips settled over four searches of a {strips}-strip graph"
+    );
+    assert_eq!(srp.stats.searches_cut_short.unreachable, 4);
+}

@@ -147,7 +147,7 @@ const GOLDEN_ROUTES_DIGEST: u64 = 0x75c3_e664_fffb_903b;
 /// Requests the golden stream commits.
 const GOLDEN_PLANNED: usize = 120;
 /// Intra-strip searches the golden stream runs (`SrpStats::intra_calls`).
-const GOLDEN_INTRA_CALLS: usize = 4118;
+const GOLDEN_INTRA_CALLS: usize = 3156;
 
 #[test]
 fn srp_routes_match_the_golden_digest() {
@@ -236,4 +236,78 @@ fn workspace_prelude_exposes_a_complete_api() {
     let route = planner.plan(&req).route().cloned().expect("planned");
     assert_eq!(route.destination(), Cell::new(2, 4));
     assert!(planner.memory_bytes() > 0);
+}
+
+/// SRP that keeps every route it commits, for digesting a simulated day.
+struct RecordingSrp {
+    srp: SrpPlanner,
+    routes: std::collections::HashMap<u64, Route>,
+}
+
+impl Planner for RecordingSrp {
+    fn name(&self) -> &'static str {
+        "SRP"
+    }
+
+    fn plan(&mut self, req: &Request) -> PlanOutcome {
+        let outcome = self.srp.plan(req);
+        if let PlanOutcome::Planned(r) = &outcome {
+            self.routes.insert(req.id, r.clone());
+        }
+        outcome
+    }
+
+    fn advance(&mut self, now: u32) -> Vec<(u64, Route)> {
+        self.srp.advance(now)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.srp.memory_bytes()
+    }
+}
+
+/// `routes_digest` of the dense-day slice below under the default
+/// configuration.
+const DENSE_ROUTES_DIGEST: u64 = 0x1ace_f527_38ee_e981;
+/// Requests the dense-day slice commits.
+const DENSE_PLANNED: usize = 402;
+
+#[test]
+fn srp_dense_day_slice_matches_the_golden_digest() {
+    // W-3 Day 4 (the paper's densest day) at its real arrival rate, cut to
+    // a slice a debug build simulates in seconds. The slice is dense enough
+    // to commit routes through every planner path, so the digest pins the
+    // retry and fallback paths as well as the direct search.
+    const SCALE: f64 = 0.001;
+    let preset = WarehousePreset::W3;
+    let layout = preset.generate();
+    let horizon = (86_400.0 * SCALE) as u32;
+    let num_tasks = (preset.daily_tasks_thousands()[3] * 1000.0 * SCALE) as u32;
+    let tasks = generate_tasks(&layout, &DayProfile::new(horizon, num_tasks), 2);
+    let planner = RecordingSrp {
+        srp: SrpPlanner::new(layout.matrix.clone(), SrpConfig::default()),
+        routes: Default::default(),
+    };
+    let (report, planner) = Simulation::new(&layout, &tasks, planner, SimConfig::default()).run();
+    let stats = planner.srp.stats;
+    let digest = srp_warehouse::service::routes_digest(&planner.routes);
+    println!(
+        "dense slice: {} tasks, {} planned, {} retries, {} fallbacks, {:?}, \
+         {} intra calls, {} strips settled, digest {digest:#018x}",
+        report.tasks,
+        stats.planned,
+        stats.retries,
+        stats.fallbacks,
+        stats.searches_cut_short,
+        stats.intra_calls,
+        stats.strips_settled
+    );
+    assert_eq!(report.audit_conflicts, 0);
+    assert!(stats.retries >= 1, "the slice must commit a retry route");
+    assert!(
+        stats.fallbacks >= 1,
+        "the slice must commit a fallback route"
+    );
+    assert_eq!(digest, DENSE_ROUTES_DIGEST, "routes moved");
+    assert_eq!(stats.planned, DENSE_PLANNED, "planned count moved");
 }
