@@ -1,22 +1,25 @@
 //! Fixed-bucket latency histogram.
 //!
-//! The service records every planning latency into a histogram with a
-//! fixed 1–2–5 bucket ladder (microseconds, spanning 1 µs to 60 s), so
-//! percentile queries cost one pass over ~35 counters, recording is one
-//! branchless-ish binary search + increment, and the memory footprint is
-//! constant no matter how many requests flow through. Percentiles are
-//! reported as the upper bound of the bucket where the cumulative count
-//! crosses the rank, clamped to the largest recorded sample — a
-//! deterministic, slightly pessimistic estimate whose error is bounded by
-//! the bucket ratio (≤ 2.5×), plenty for p50/p95/p99 trend tracking across
-//! runs, and never above the reported max.
+//! The service records each latency it tracks into a histogram with 35
+//! fixed bucket bounds (microseconds, 1 µs to 60 000 s; see `BOUNDS_US`)
+//! plus one overflow bucket, so percentile queries cost one pass over 36
+//! counters, recording is one binary search + increment, and the memory
+//! footprint is constant no matter how many requests flow through.
+//! Percentiles are reported as the upper bound of the bucket where the
+//! cumulative count crosses the rank, clamped to the largest recorded
+//! sample; a rank that falls in the overflow bucket reports `max_us`
+//! itself. That is a deterministic, slightly pessimistic
+//! estimate whose error is bounded by the largest ratio between adjacent
+//! bounds (≤ 2.5×), plenty for p50/p95/p99 trend tracking across runs, and
+//! never above the reported max.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Upper bounds of the fixed buckets, in microseconds: a 1–2–5 ladder from
-/// 1 µs to 60 s. Latencies above the last bound land in an overflow bucket
-/// reported as `u64::MAX`'s bound — i.e. the 60 s cap.
+/// 1 µs to 50 s, an off-ladder 60 s bound, the ladder again from 100 s to
+/// 50 000 s, and an off-ladder 60 000 s bound. Latencies above 60 000 s
+/// land in an overflow bucket, whose percentiles report `max_us`.
 const BOUNDS_US: [u64; 35] = [
     1,
     2,
@@ -195,18 +198,23 @@ impl LatencySummary {
     }
 }
 
-/// Serializable percentile summary of a [`LatencyHistogram`].
+/// Serializable percentile summary, either of a [`LatencyHistogram`]
+/// ([`LatencyHistogram::summary`]: each percentile is a bucket upper bound
+/// clamped to `max_us`) or of raw samples
+/// ([`LatencySummary::from_samples_us`]: each percentile is the exact order
+/// statistic).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: u64,
     /// Mean in microseconds.
     pub mean_us: f64,
-    /// Median (bucket upper bound, at most `max_us`), microseconds.
+    /// Median, microseconds (at most `max_us`; see the type docs for how
+    /// it was estimated).
     pub p50_us: u64,
-    /// 95th percentile (bucket upper bound, at most `max_us`), microseconds.
+    /// 95th percentile, microseconds (at most `max_us`).
     pub p95_us: u64,
-    /// 99th percentile (bucket upper bound, at most `max_us`), microseconds.
+    /// 99th percentile, microseconds (at most `max_us`).
     pub p99_us: u64,
     /// Largest sample, microseconds.
     pub max_us: u64,

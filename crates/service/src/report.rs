@@ -16,9 +16,8 @@ use std::collections::HashMap;
 
 /// Current `BENCH_service.json` schema version.
 ///
-/// v2: `service` gained `workers`, `speculation_{wins,retries,aborts}`,
-/// and the per-stage `queue_latency` / `commit_latency` summaries from the
-/// speculative commit pipeline.
+/// v2: `service` gained `workers`, three multi-worker pipeline counters,
+/// and the per-stage `queue_latency` / `commit_latency` summaries.
 ///
 /// v3: runs are per-tenant — each gained `tenant` (the warehouse id the
 /// run was served under) and `wire` (the tenant's frame/byte encode-decode
@@ -28,7 +27,10 @@ use std::collections::HashMap;
 /// v4: `engine` lost `probe_parallelism`, `probe_parallel_share`,
 /// `eval_batches`, `eval_jobs` and `eval_parallel_share` with the
 /// engine's partitions and thread fan-out.
-pub const BENCH_VERSION: u32 = 4;
+///
+/// v5: `service` lost `workers` and the three multi-worker pipeline
+/// counters with the pipeline itself; every tenant has one commit worker.
+pub const BENCH_VERSION: u32 = 5;
 
 /// Result of one load run.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -3,9 +3,9 @@
 //!
 //! One [`WalJournal`] serves the whole daemon — all tenants share a single
 //! append-only file and one monotonic sequence, which is what gives the
-//! standby a total order to replay. Per-tenant commit pipelines hold a
+//! standby a total order to replay. Each tenant's commit worker holds a
 //! cheap [`TenantJournal`] handle (tenant id + `Arc` of the journal) and
-//! call its typed helpers at the single validate-and-commit point.
+//! calls its typed helpers right after each commit, before replying.
 //!
 //! Durability discipline: every append is written straight to the file
 //! (no userspace buffering), so a *process* crash loses nothing; `fsync`

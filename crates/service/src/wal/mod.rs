@@ -1,7 +1,7 @@
 //! Durable changeset log + warm-standby recovery (DESIGN.md §15).
 //!
-//! Every state transition a tenant's commit pipeline performs at its
-//! single validate-and-commit point — commit, cancel, clock advance
+//! Every state transition a tenant's commit worker performs at its
+//! commit point — commit, cancel, clock advance
 //! (batched retirement), windowed route revision, tenant open/close — is
 //! appended to one shared, CRC-framed, append-only log. Replaying the log
 //! in sequence order reconstructs the daemon's entire planning state:

@@ -99,7 +99,7 @@ pub enum ChangeOp {
     TenantOpen,
     /// A tenant was deregistered; its planner state is dead.
     TenantClose,
-    /// A route passed the single validate-and-commit point.
+    /// A route was committed by the tenant's commit worker.
     Commit {
         /// The admitted request.
         request: Request,

@@ -8,10 +8,8 @@
 //!   file; the compaction proptest pins `replay(snapshot ⊕ tail) ==
 //!   live state`.
 //! * [`recover_planners`] — the warm standby: rebuilds real
-//!   [`SpeculativePlanner`] replicas (committed segments, reservation
-//!   layers and all) by replaying adopt/cancel/advance/revise in log
-//!   order, exactly the discipline worker replicas use on the in-memory
-//!   epoch op-log (DESIGN.md §13) — extended here to cover revision ops.
+//!   [`ReplayPlanner`]s (committed segments, reservation layers and all)
+//!   by replaying adopt/cancel/advance/revise in log order.
 //! * [`audit_log`] — a strict collision audit of the recovered history:
 //!   replays every route into per-tenant [`IncrementalAuditor`]s and
 //!   reports the first conflict, proving the log never certified a
@@ -26,7 +24,7 @@ use super::record::{ChangeOp, ChangeRecord, TenantSnapshot, WalSnapshot};
 use carp_simenv::audit::ReproBundle;
 use carp_warehouse::collision::{AuditConflict, IncrementalAuditor};
 use carp_warehouse::layout::LayoutConfig;
-use carp_warehouse::planner::SpeculativePlanner;
+use carp_warehouse::planner::ReplayPlanner;
 use carp_warehouse::request::Request;
 use std::collections::BTreeMap;
 
@@ -122,18 +120,18 @@ impl ReplayState {
     }
 }
 
-/// Rebuild per-tenant planner replicas from a decoded log: the warm
-/// standby's core. `factory` makes an empty planner for a tenant id; the
-/// replay then drives it through the same adopt/cancel/advance sequence
-/// the authoritative planner committed, so the replica's committed
-/// segments and reservations are bit-identical to the primary's at the
-/// moment of its last append.
+/// Rebuild per-tenant planners from a decoded log: the warm standby's
+/// core. `factory` makes an empty planner for a tenant id; the replay then
+/// drives it through the same adopt/cancel/advance sequence the primary's
+/// planner committed, so the rebuilt planner's committed segments and
+/// reservations are bit-identical to the primary's at the moment of its
+/// last append.
 pub fn recover_planners<P, F>(
     records: &[ChangeRecord],
     mut factory: F,
 ) -> (BTreeMap<String, P>, ReplayState)
 where
-    P: SpeculativePlanner,
+    P: ReplayPlanner,
     F: FnMut(&str) -> P,
 {
     let mut planners: BTreeMap<String, P> = BTreeMap::new();

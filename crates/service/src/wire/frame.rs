@@ -19,8 +19,10 @@ use std::io::{Read, Write};
 pub const MAGIC: [u8; 4] = *b"CARP";
 /// Protocol version spoken by this build. Version 2 dropped the engine's
 /// partition and thread fan-out counters from the `MetricsReply` engine
-/// block, so a version-1 peer would misread every counter after it.
-pub const VERSION: u16 = 2;
+/// block; version 3 dropped the worker count and the three multi-worker
+/// pipeline counters from its head. An older peer would misread every
+/// field after the first dropped one.
+pub const VERSION: u16 = 3;
 /// Bytes in the fixed frame header.
 pub const HEADER_LEN: usize = 12;
 /// Upper bound on a payload (16 MiB) — a route over the largest layout is
@@ -339,7 +341,7 @@ mod tests {
         bad[0] = b'X';
         assert_eq!(read_frame(&mut &bad[..]), Err(WireError::BadMagic));
 
-        for version in [1u16, 99] {
+        for version in [1u16, 2, 99] {
             let mut bad = buf.clone();
             bad[4..6].copy_from_slice(&version.to_le_bytes());
             assert_eq!(

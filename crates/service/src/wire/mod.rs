@@ -28,6 +28,15 @@
 //! Admission order — the thing that pins the committed route set — is
 //! fixed by submission acks being answered synchronously in frame order
 //! (DESIGN.md §14).
+//!
+//! Durability of a `Planned` reply (with a changeset log attached): the
+//! commit was journaled — `write(2)` of its record into the OS page cache
+//! — *before* the reply was sent, but it is not yet `fsync`ed. The journal
+//! fsyncs every [`WalConfig::fsync_every`](crate::wal::WalConfig::fsync_every) = 64
+//! appends, on [`WalJournal::seal`](crate::wal::WalJournal::seal) and
+//! tenant close, on epoch bumps and on compaction. So a daemon *process*
+//! crash loses no acked commit, while an OS crash or power loss can lose
+//! up to 63 acked commits across all tenants of the shared journal.
 
 pub mod client;
 pub mod codec;

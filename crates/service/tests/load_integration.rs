@@ -62,6 +62,30 @@ fn different_seed_changes_the_digest() {
     assert_ne!(ra.routes_digest, rb.routes_digest);
 }
 
+/// `routes_digest` of the serial worker on W-2, 60 tasks, horizon 600,
+/// seed 104, deadlines off, at 1× and 4×. A change means a committed
+/// route moved.
+const GOLDEN_W2_DIGESTS: [(f64, u64); 2] =
+    [(1.0, 0xead2_7380_db06_8555), (4.0, 0x03ea_80e5_e30a_a82d)];
+
+#[test]
+fn serial_w2_routes_match_the_golden_digests() {
+    let layout = WarehousePreset::W2.generate();
+    for (rate, golden) in GOLDEN_W2_DIGESTS {
+        let scenario =
+            LoadScenario::new(format!("W-2@{rate}x"), layout.clone(), 60, 600, rate, 104);
+        let (report, _) = run_load(
+            &scenario,
+            srp(&layout),
+            SimConfig::default(),
+            deterministic_cfg(),
+        );
+        assert_eq!(report.audit_conflicts, 0, "W-2@{rate}x audited a collision");
+        assert_eq!(report.completed, 60, "W-2@{rate}x");
+        assert_eq!(report.routes_digest, golden, "W-2@{rate}x routes moved");
+    }
+}
+
 /// The acceptance scenario: a W-2 load at 1× and 4× completes with zero
 /// audited collisions, and the 1× run is reproducible.
 #[test]
